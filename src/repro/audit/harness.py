@@ -93,8 +93,12 @@ class AuditHarness:
         # builds — ``harness.events.to_dicts()`` is the per-connection
         # record the audit CLI dumps alongside the scorecards.
         self.events = HandshakeEventLog(limit=4096, registry=self.obs)
-        self.keystore = keystore or KeyStore(
-            seed=seed, vault=vault, registry=self.obs
+        # ``is None``, not truthiness: an empty KeyStore is falsy
+        # (it defines ``__len__``) but is still the caller's store.
+        self.keystore = (
+            keystore
+            if keystore is not None
+            else KeyStore(seed=seed, vault=vault, registry=self.obs)
         )
         self.pki = AuditPki(self.keystore, seed=seed, key_bits=pki_key_bits)
         self.forger = SubstituteCertForger(self.keystore, seed=seed)

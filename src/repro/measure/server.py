@@ -8,6 +8,8 @@ bytes exactly the way the authors' published policy server did.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.codec import HttpRequest, HttpResponse
 from repro.httpmin.server import HttpServer
@@ -17,11 +19,33 @@ from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyFile
 from repro.policy.server import POLICY_REQUEST, PolicyServer
+from repro.util import BoundedMemo
 from repro.x509.parse import X509Error, parse_certificate
 from repro.x509.pem import PemError, pem_decode_all
+from repro.x509.verify import validate_chain
 
 # The measurement tool, served as the "ad" payload.
 _TOOL_PAYLOAD = b"<html><body><!-- repro measurement tool (flash) --></body></html>"
+
+# Distinct (probed host, report body) verdicts one server keeps.
+CHAIN_VERDICT_ENTRIES = 1024
+
+
+@dataclass(frozen=True)
+class ChainVerdict:
+    """What an uploaded chain says, independent of who uploaded it."""
+
+    leaf: CertSummary
+    chain: tuple[CertSummary, ...]
+    chain_valid: bool
+
+
+@dataclass(frozen=True)
+class ChainRejection:
+    """Why an uploaded body is not a chain: a ``reports.rejected`` reason."""
+
+    reason: str
+    message: bytes
 
 
 class ReportingServer:
@@ -36,6 +60,13 @@ class ReportingServer:
     attached, an overloaded pending buffer turns submissions away with
     429 + ``Retry-After`` until someone flushes — the back-pressure
     contract the ingest loop leans on.
+
+    Judging a chain — PEM, DER, validation to ``public_roots`` — is a
+    pure function of the probed host and the body, and clients behind
+    one product upload the same chain over and over, so each distinct
+    pair is judged once (:meth:`judge`).  Everything about the request
+    itself — fault hook, back-pressure, GeoIP, the mismatch against
+    ``expected_leaves``, the writes and counters — happens every time.
     """
 
     def __init__(
@@ -64,6 +95,10 @@ class ReportingServer:
         self.expected_leaves: dict[str, str] = {}
         self.host_types: dict[str, str] = {}
         self.metrics = registry if registry is not None else MetricsRegistry()
+        self._verdicts = BoundedMemo(
+            "chain_verdict", CHAIN_VERDICT_ENTRIES, self.metrics
+        )
+        self._verdicts_judged_by = None
         self.http = HttpServer(registry=self.metrics)
         self.http.route("GET", "/ad", self._serve_tool)
         self.http.route("POST", "/report", self._ingest_report)
@@ -122,34 +157,15 @@ class ReportingServer:
             self._count_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="unknown-host")
             return HttpResponse(400, body=b"unknown probed host")
-        try:
-            der_chain = pem_decode_all(request.body.decode("ascii", errors="replace"))
-        except PemError as exc:
+        verdict = self.judge(hostname, request.body)
+        if isinstance(verdict, ChainRejection):
             self._count_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="pem")
-            return HttpResponse(400, body=str(exc).encode())
-        if not der_chain:
-            self._count_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="empty")
-            return HttpResponse(400, body=b"empty report")
-        try:
-            chain = [parse_certificate(der) for der in der_chain]
-        except X509Error as exc:
-            self._count_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="x509")
-            return HttpResponse(400, body=str(exc).encode())
+            self.metrics.inc("reports.rejected", reason=verdict.reason)
+            return HttpResponse(400, body=verdict.message)
 
         client_ip = remote.ip if remote is not None else "0.0.0.0"
         country = self.geoip.lookup(client_ip) if self.geoip is not None else None
-        leaf = chain[0]
-        mismatch = leaf.fingerprint() != self.expected_leaves[hostname]
-        chain_valid = False
-        if self.public_roots is not None:
-            from repro.x509.verify import validate_chain
-
-            chain_valid = bool(
-                validate_chain(chain, self.public_roots, hostname=hostname)
-            )
+        mismatch = verdict.leaf.fingerprint != self.expected_leaves[hostname]
         record = MeasurementRecord(
             study=self.study,
             campaign=self.campaign,
@@ -158,9 +174,9 @@ class ReportingServer:
             hostname=hostname,
             host_type=self.host_types.get(hostname, "?"),
             mismatch=mismatch,
-            leaf=CertSummary.from_certificate(leaf),
-            chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
-            chain_valid=chain_valid,
+            leaf=verdict.leaf,
+            chain=verdict.chain,
+            chain_valid=verdict.chain_valid,
             via="wire",
             product_key=request.headers.get("x-sim-product") or None,
         )
@@ -177,6 +193,42 @@ class ReportingServer:
                 self.store.add_matched(record)
             self.metrics.inc("reports.ingested", verdict="matched")
         return HttpResponse(200, body=b"ok")
+
+    def judge(self, hostname: str, body: bytes) -> ChainVerdict | ChainRejection:
+        """The verdict on one uploaded ``body``, memoised per root store.
+
+        A verdict is judged against the current ``public_roots``, so
+        replacing the store — or changing it in place — starts afresh.
+        """
+        roots = self.public_roots
+        judged_by = None if roots is None else (roots, roots.revision)
+        if judged_by != self._verdicts_judged_by:
+            self._verdicts.clear()
+            self._verdicts_judged_by = judged_by
+        return self._verdicts.recall(
+            (hostname, body), lambda: self._judge(hostname, body, roots)
+        )
+
+    @staticmethod
+    def _judge(hostname: str, body: bytes, roots) -> ChainVerdict | ChainRejection:
+        try:
+            der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
+        except PemError as exc:
+            return ChainRejection("pem", str(exc).encode())
+        if not der_chain:
+            return ChainRejection("empty", b"empty report")
+        try:
+            chain = [parse_certificate(der) for der in der_chain]
+        except X509Error as exc:
+            return ChainRejection("x509", str(exc).encode())
+        chain_valid = roots is not None and bool(
+            validate_chain(chain, roots, hostname=hostname)
+        )
+        return ChainVerdict(
+            leaf=CertSummary.from_certificate(chain[0]),
+            chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
+            chain_valid=chain_valid,
+        )
 
 
 class CombinedPolicyHttpServer(Protocol):

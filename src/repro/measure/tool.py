@@ -25,6 +25,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyError
 from repro.policy.server import fetch_policy_task
 from repro.tls.probe import ProbeClient
+from repro.x509.parse import ParseMemo
 from repro.x509.pem import pem_encode
 
 
@@ -81,6 +82,9 @@ class MeasurementTool:
         # Shared with the per-session ProbeClients, so probe attempts
         # and failure stages aggregate across the whole run.
         self.metrics = registry if registry is not None else MetricsRegistry()
+        # Every probe this tool runs parses through one memo: clients
+        # behind the same product see the same chains.
+        self.parse_memo = ParseMemo(self.metrics)
 
     def run_session(
         self,
@@ -148,9 +152,8 @@ class MeasurementTool:
         permitted = yield from self._policy_permits(client, site.hostname, outcome)
         if not permitted:
             return
-        result = yield from ProbeClient(client, registry=self.metrics).probe_task(
-            site.hostname, 443
-        )
+        probe = ProbeClient(client, registry=self.metrics, parse_memo=self.parse_memo)
+        result = yield from probe.probe_task(site.hostname, 443)
         if not result.ok:
             if result.error.startswith("connect"):
                 outcome.connect_failed += 1

@@ -18,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.tls import codec
 from repro.tls.codec import Alert, ClientHello, ServerHello, TlsError
 from repro.x509.model import Certificate
-from repro.x509.parse import X509Error, parse_certificate
+from repro.x509.parse import ParseMemo, X509Error, parse_certificate
 
 if TYPE_CHECKING:
     from repro.tls.fingerprint import BrowserProfile
@@ -48,6 +48,9 @@ class ProbeClient:
     browser profiles (:data:`repro.tls.fingerprint.BROWSER_PROFILES`)
     instead of the tool's plain SNI-only hello — what the mimicry
     audit probes with.
+
+    ``parse_memo`` shares parsed certificates across the probes of one
+    measurement run; without it every received certificate is parsed.
     """
 
     def __init__(
@@ -56,11 +59,13 @@ class ProbeClient:
         rng: random.Random | None = None,
         browser: "BrowserProfile | None" = None,
         registry: MetricsRegistry | None = None,
+        parse_memo: ParseMemo | None = None,
     ) -> None:
         self.host = host
         self.browser = browser
         self._rng = rng or random.Random(0xFACADE)
         self.metrics = registry if registry is not None else MetricsRegistry()
+        self.parse_memo = parse_memo
 
     def probe(
         self, hostname: str, port: int = 443, session_id: bytes = b""
@@ -165,7 +170,7 @@ class ProbeClient:
         parsed: list[Certificate] = []
         for der in der_chain:
             try:
-                parsed.append(parse_certificate(der))
+                parsed.append(self._parse(der))
             except X509Error as exc:
                 return self._failed(
                     hostname,
@@ -185,3 +190,10 @@ class ProbeClient:
             server_hello=server_hello,
             chain=tuple(parsed),
         )
+
+    def _parse(self, der: bytes) -> Certificate:
+        if self.parse_memo is None:
+            return parse_certificate(der)
+        # A miss still parses through this module's binding, so traced
+        # runs keep attributing the parse to the probe.
+        return self.parse_memo.parse(der, parse_certificate)

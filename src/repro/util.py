@@ -15,3 +15,40 @@ def stable_hash(*parts: object, bits: int = 64) -> int:
     material = "\x1f".join(repr(part) for part in parts).encode("utf-8")
     digest = hashlib.blake2s(material, digest_size=(bits + 7) // 8).digest()
     return int.from_bytes(digest, "big") & ((1 << bits) - 1)
+
+
+class BoundedMemo:
+    """A memo of at most ``limit`` entries that evicts the oldest first.
+
+    For pure steps whose keys come off the wire: a hostile peer picks
+    the keys, so the memo must not grow with what it is sent.  Lookups
+    count ``cache.hits`` / ``cache.misses`` (label ``cache=name``) in
+    the registry's process section — how often a memo hits depends on
+    which process and run it lives in, never on the results.
+    """
+
+    def __init__(self, name: str, limit: int, registry) -> None:
+        self.limit = limit
+        self._entries: dict = {}
+        self._hits = registry.process_counter("cache.hits", cache=name)
+        self._misses = registry.process_counter("cache.misses", cache=name)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def recall(self, key, compute):
+        """The stored value for ``key``, else ``compute()`` stored under it."""
+        try:
+            value = self._entries[key]
+        except KeyError:
+            self._misses.inc()
+            value = compute()
+            if len(self._entries) >= self.limit:
+                del self._entries[next(iter(self._entries))]
+            self._entries[key] = value
+            return value
+        self._hits.inc()
+        return value
+
+    def clear(self) -> None:
+        self._entries.clear()

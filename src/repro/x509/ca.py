@@ -26,6 +26,7 @@ from repro.x509.model import (
     Validity,
     authority_key_identifier_extension,
     basic_constraints_extension,
+    frame_certificate,
     key_usage_extension,
     subject_alt_name_extension,
     subject_key_identifier_extension,
@@ -154,14 +155,13 @@ class CertificateAuthority:
 def _sign_tbs(
     tbs: TbsCertificate, key: RsaKeyPair, hash_alg: HashAlgorithm
 ) -> Certificate:
-    signature = pkcs1_sign(key, hash_alg, tbs.encode())
-    certificate = Certificate(
-        tbs=tbs, signature_oid=hash_alg.signature_oid, signature=signature
-    )
-    # Freeze the DER now so .raw is always populated for issued certs too.
+    tbs_der = tbs.encode()
+    signature = pkcs1_sign(key, hash_alg, tbs_der)
+    # Frame the signed bytes so .raw is always populated for issued
+    # certs too, without encoding the TBS again.
     return Certificate(
         tbs=tbs,
         signature_oid=hash_alg.signature_oid,
         signature=signature,
-        raw=certificate.to_asn1().encode(),
+        raw=frame_certificate(tbs_der, hash_alg.signature_oid, signature),
     )

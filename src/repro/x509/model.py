@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.asn1 import oids
+from repro.asn1.der import TAG_SEQUENCE, encode_tlv, read_tlv
 from repro.asn1.types import (
     Asn1Value,
     BitString,
@@ -421,6 +422,22 @@ class Certificate:
             ]
         )
 
+    @cached_property
+    def tbs_der(self) -> bytes:
+        """The TBSCertificate bytes the signature covers.
+
+        For a parsed certificate these are the bytes as received: the
+        first element of the outer SEQUENCE, found by TLV framing
+        alone.  Re-encoding the parsed fields would canonicalise them
+        (a PrintableString CN becomes UTF8String, an AlgorithmIdentifier
+        without NULL gains one) and break a correct signature.
+        """
+        if not self.raw:
+            return self.tbs.encode()
+        _, body, _ = read_tlv(self.raw)
+        _, _, end = read_tlv(body)
+        return body[:end]
+
     # The DER and its SHA-256 are immutable once the certificate
     # exists, and the forge cache, audit classifier and reporting
     # server all ask for them repeatedly — memoise both on the
@@ -451,6 +468,18 @@ class Certificate:
             [self.subject.common_name] if self.subject.common_name else []
         )
         return any(_hostname_matches(pattern, hostname) for pattern in names)
+
+
+def frame_certificate(tbs_der: bytes, signature_oid: str, signature: bytes) -> bytes:
+    """DER of a Certificate around an already-encoded TBSCertificate.
+
+    Byte-identical to ``Certificate.to_asn1().encode()`` for the same
+    fields, without encoding the TBS a second time.
+    """
+    algorithm = Sequence([ObjectIdentifier(signature_oid), Null()]).encode()
+    return encode_tlv(
+        TAG_SEQUENCE, tbs_der + algorithm + BitString(signature).encode()
+    )
 
 
 def _hostname_matches(pattern: str, hostname: str) -> bool:

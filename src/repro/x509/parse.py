@@ -8,6 +8,8 @@ and fingerprints are stable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.asn1 import oids
 from repro.asn1.der import Asn1Error
 from repro.asn1.types import (
@@ -26,6 +28,7 @@ from repro.asn1.types import (
     UtcTime,
     decode,
 )
+from repro.util import BoundedMemo
 from repro.x509.model import (
     Certificate,
     Extension,
@@ -69,6 +72,44 @@ def parse_certificate(data: bytes) -> Certificate:
         signature=sig_bits.data,
         raw=bytes(data),
     )
+
+
+# Distinct DER certificates one :class:`ParseMemo` keeps.
+PARSE_MEMO_ENTRIES = 512
+
+
+class ParseMemo:
+    """:func:`parse_certificate` outcomes keyed by the exact DER bytes.
+
+    Parsing is a pure function of the bytes, and the chains a study's
+    clients receive repeat for every (product, site) pair, so one memo
+    per measurement run parses each distinct certificate once.  A
+    malformed certificate is remembered by its error message; every
+    repeat raises a fresh :class:`X509Error` carrying that message.
+    """
+
+    def __init__(self, registry) -> None:
+        self._outcomes = BoundedMemo("x509_parse", PARSE_MEMO_ENTRIES, registry)
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def parse(
+        self, der: bytes, parse: Callable[[bytes], Certificate] | None = None
+    ) -> Certificate:
+        """``parse(der)`` (default :func:`parse_certificate`), memoised."""
+        der = bytes(der)
+
+        def outcome() -> Certificate | str:
+            try:
+                return (parse or parse_certificate)(der)
+            except X509Error as exc:
+                return str(exc)
+
+        result = self._outcomes.recall(der, outcome)
+        if isinstance(result, str):
+            raise X509Error(result)
+        return result
 
 
 def _parse_tbs(seq: Sequence) -> TbsCertificate:

@@ -18,23 +18,29 @@ class RootStore:
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         self._roots: dict[str, Certificate] = {}
         self._injected: set[str] = set()
+        # Bumped by every change, so a cached trust verdict can tell
+        # whether the store it was judged against still holds.
+        self.revision = 0
         for root in roots or []:
             self.add(root)
 
     def add(self, root: Certificate) -> None:
         """Add a factory (pre-installed) root."""
         self._roots[root.fingerprint()] = root
+        self.revision += 1
 
     def inject(self, root: Certificate) -> None:
         """Add a root the way a proxy product or malware does at install."""
         fingerprint = root.fingerprint()
         self._roots[fingerprint] = root
         self._injected.add(fingerprint)
+        self.revision += 1
 
     def remove(self, root: Certificate) -> None:
         fingerprint = root.fingerprint()
         self._roots.pop(fingerprint, None)
         self._injected.discard(fingerprint)
+        self.revision += 1
 
     def contains(self, certificate: Certificate) -> bool:
         return certificate.fingerprint() in self._roots

@@ -80,7 +80,7 @@ def verify_certificate_signature(
         certificate_signer_n(signer), certificate_signer_e(signer)
     )
     return pkcs1_verify(
-        public_key, hash_alg, certificate.tbs.encode(), certificate.signature
+        public_key, hash_alg, certificate.tbs_der, certificate.signature
     )
 
 

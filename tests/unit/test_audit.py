@@ -369,6 +369,17 @@ class TestCatalogWarmup:
         assert cache_key in harness.forger._cas
 
 
+class TestHarnessKeystore:
+    def test_empty_keystore_passed_in_is_used(self):
+        from repro.crypto.keystore import KeyStore
+
+        store = KeyStore(seed=17)
+        assert len(store) == 0  # falsy, yet it is the caller's store
+        harness = AuditHarness(seed=17, keystore=store, pki_key_bits=512)
+        assert harness.keystore is store
+        assert len(store) > 0
+
+
 class TestServerLegObservationPaths:
     def test_captured_hello_graded_despite_probe_error(self, harness):
         """A substitute ServerHello that made it onto the wire is

@@ -355,3 +355,103 @@ class TestCertificateMemoisation:
         bare = replace(cert, raw=b"")
         assert bare.encode() == cert.encode()
         assert bare.fingerprint() == cert.fingerprint()
+
+
+class TestSignedBytes:
+    """Signatures are checked over the TBS bytes as received."""
+
+    @staticmethod
+    def _signed_by(ca, tweak):
+        """DER of a leaf signed by ``ca`` whose TBS ``tweak`` reshaped."""
+        from repro.asn1.types import Sequence
+        from repro.crypto.hashes import hash_by_name
+        from repro.crypto.rsa import pkcs1_sign
+        from repro.x509.model import TbsCertificate, frame_certificate
+
+        sha256 = hash_by_name("sha256")
+        tbs = TbsCertificate(
+            serial_number=99,
+            signature_oid=sha256.signature_oid,
+            issuer=ca.name,
+            validity=Validity(
+                dt.datetime(2014, 1, 1, tzinfo=dt.timezone.utc),
+                dt.datetime(2016, 1, 1, tzinfo=dt.timezone.utc),
+            ),
+            subject=Name.build(common_name="odd.example"),
+            public_key=ca.certificate.tbs.public_key,
+        )
+        items = tbs.to_asn1().items
+        tweak(items)
+        tbs_der = Sequence(items).encode()
+        signature = pkcs1_sign(ca.key, sha256, tbs_der)
+        return frame_certificate(tbs_der, sha256.signature_oid, signature)
+
+    @staticmethod
+    def _printable_cn(items):
+        from repro.asn1.types import ObjectIdentifier, PrintableString, Sequence, Set
+
+        cn = Sequence(
+            [ObjectIdentifier(oids.OID_COMMON_NAME), PrintableString("odd.example")]
+        )
+        items[5] = Sequence([Set([cn])])
+
+    @staticmethod
+    def _algorithm_without_null(items):
+        from repro.asn1.types import ObjectIdentifier, Sequence
+
+        items[2] = Sequence([ObjectIdentifier(items[2][0].dotted)])
+
+    @pytest.mark.parametrize("tweak", ["_printable_cn", "_algorithm_without_null"])
+    def test_non_canonical_tbs_verifies(self, root_ca, tweak):
+        der = self._signed_by(root_ca, getattr(self, tweak))
+        cert = parse_certificate(der)
+        # Re-encoding the parsed fields would not reproduce the signed bytes.
+        assert cert.tbs.encode() != cert.tbs_der
+        assert cert.tbs_der in der
+        assert verify_certificate_signature(cert, root_ca.certificate)
+
+    @pytest.mark.parametrize("tweak", ["_printable_cn", "_algorithm_without_null"])
+    def test_flipped_tbs_byte_fails(self, root_ca, tweak):
+        der = self._signed_by(root_ca, getattr(self, tweak))
+        flipped = der.replace(b"odd.example", b"odd.exbmple")
+        cert = parse_certificate(flipped)
+        assert cert.subject.common_name == "odd.exbmple"
+        assert not verify_certificate_signature(cert, root_ca.certificate)
+
+    def test_rawless_certificate_signs_its_encoding(self, site_cert):
+        from dataclasses import replace
+
+        bare = replace(site_cert, raw=b"")
+        assert bare.tbs_der == site_cert.tbs_der == site_cert.tbs.encode()
+
+    def test_issued_raw_is_the_full_encoding(self, root_ca, keystore):
+        key = keystore.key("framing-leaf", 512)
+        spki = SubjectPublicKeyInfo(key.n, key.e)
+        intermediate = root_ca.issue_intermediate(
+            Name.build(common_name="Framing Intermediate"), key, hash_name="sha1"
+        )
+        issued = [
+            root_ca.certificate,
+            intermediate.certificate,
+            CertificateAuthority.self_signed(
+                SelfSignedParams(
+                    subject=Name.build(common_name="self.example"),
+                    key=key,
+                    hash_name="md5",
+                    is_ca=False,
+                    dns_names=("self.example",),
+                )
+            ).certificate,
+        ]
+        for hash_name in ("sha256", "sha1", "md5"):
+            issued.append(
+                intermediate.issue(
+                    Name.build(common_name=f"{hash_name}.example"),
+                    spki,
+                    hash_name=hash_name,
+                    dns_names=[f"{hash_name}.example"],
+                )
+            )
+        for cert in issued:
+            assert cert.raw == cert.to_asn1().encode()
+            assert parse_certificate(cert.raw) == cert
