@@ -72,6 +72,7 @@ from repro.tls.fingerprint import (
 from repro.tls.probe import ProbeClient, ProbeResult
 from repro.tls.server import TlsCertServer
 from repro.util import stable_hash
+from repro.x509.parse import ParseMemo
 
 
 class AuditHarness:
@@ -93,6 +94,10 @@ class AuditHarness:
         # builds — ``harness.events.to_dicts()`` is the per-connection
         # record the audit CLI dumps alongside the scorecards.
         self.events = HandshakeEventLog(limit=4096, registry=self.obs)
+        # Every certificate parse of every rig — engine upstream legs
+        # and all four probe kinds — goes through one memo: the battery
+        # replays a few dozen distinct chains thousands of times.
+        self.parse_memo = ParseMemo(self.obs)
         # ``is None``, not truthiness: an empty KeyStore is falsy
         # (it defines ``__len__``) but is still the caller's store.
         self.keystore = (
@@ -156,7 +161,10 @@ class AuditHarness:
         """
         network, origin, victim, engine = self._make_rig(profile, "mimicry")
         probe = ProbeClient(
-            victim, rng=self._probe_rng(profile, "mimicry"), browser=self.browser
+            victim,
+            rng=self._probe_rng(profile, "mimicry"),
+            browser=self.browser,
+            parse_memo=self.parse_memo,
         )
         with self.obs.span("audit.mimicry"):
             result = probe.probe(AUDIT_HOSTNAME, 443)
@@ -264,6 +272,7 @@ class AuditHarness:
                 victim,
                 rng=self._probe_rng(profile, "mimicry-resume"),
                 browser=browser,
+                parse_memo=self.parse_memo,
             )
             with self.obs.span("audit.resume"):
                 second = resume.probe(AUDIT_HOSTNAME, 443, session_id=first_sid)
@@ -378,6 +387,7 @@ class AuditHarness:
             rng=random.Random(stable_hash(self.seed, profile.key, scenario_key)),
             registry=self.obs,
             events=self.events,
+            parse_memo=self.parse_memo,
         )
         victim.add_interceptor(engine)
         origin.listen(443, TlsCertServer(list(self._baseline.chain)).factory)
@@ -409,9 +419,9 @@ class AuditHarness:
         probe_rng = self._probe_rng(profile, scenario.key)
         with self.obs.span("audit.scenario", scenario=scenario.key):
             # Warm-up: the origin is healthy; validation caches fill here.
-            yield from ProbeClient(victim, rng=probe_rng).probe_task(
-                AUDIT_HOSTNAME, 443
-            )
+            yield from ProbeClient(
+                victim, rng=probe_rng, parse_memo=self.parse_memo
+            ).probe_task(AUDIT_HOSTNAME, 443)
             # The attack begins: swap in the scenario's origin.
             origin.stop_listening(443)
             origin.listen(
@@ -422,9 +432,9 @@ class AuditHarness:
                     max_version=setup.max_version,
                 ).factory,
             )
-            result = yield from ProbeClient(victim, rng=probe_rng).probe_task(
-                AUDIT_HOSTNAME, 443
-            )
+            result = yield from ProbeClient(
+                victim, rng=probe_rng, parse_memo=self.parse_memo
+            ).probe_task(AUDIT_HOSTNAME, 443)
         return self._classify(scenario, setup, result)
 
     @staticmethod

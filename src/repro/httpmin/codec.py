@@ -37,6 +37,18 @@ def _parse_headers(block: bytes) -> dict[str, str]:
     return headers
 
 
+def _content_length(headers: dict[str, str]) -> int:
+    """The declared body length: ASCII digits only, else :class:`HttpError`.
+
+    ``int()`` alone would take ``-5`` (truncating the body and framing
+    its tail as the next message) or raise a bare ``ValueError``.
+    """
+    value = headers.get("content-length", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise HttpError(f"bad Content-Length {value!r}")
+    return int(value)
+
+
 @dataclass
 class HttpRequest:
     """An HTTP request with an optional body."""
@@ -64,7 +76,7 @@ class HttpRequest:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise HttpError(f"bad request line {lines[0]!r}")
         headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = int(headers.get("content-length", "0"))
+        length = _content_length(headers)
         if len(rest) < length:
             return None, data
         return (
@@ -114,7 +126,7 @@ class HttpResponse:
         except ValueError as exc:
             raise HttpError(f"bad status code {parts[1]!r}") from exc
         headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = int(headers.get("content-length", "0"))
+        length = _content_length(headers)
         if len(rest) < length:
             return None, data
         reason = parts[2] if len(parts) == 3 else ""

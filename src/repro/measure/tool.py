@@ -59,6 +59,7 @@ class MeasurementTool:
         backoff: Backoff | None = None,
         session_deadline_ticks: int = 256,
         fault_plan: FaultPlan | None = None,
+        parse_memo: ParseMemo | None = None,
     ) -> None:
         self.reporting_host = reporting_host
         self.report_port = report_port
@@ -83,8 +84,11 @@ class MeasurementTool:
         # and failure stages aggregate across the whole run.
         self.metrics = registry if registry is not None else MetricsRegistry()
         # Every probe this tool runs parses through one memo: clients
-        # behind the same product see the same chains.
-        self.parse_memo = ParseMemo(self.metrics)
+        # behind the same product see the same chains.  A study runner
+        # passes the memo its engines and vantage probe share.
+        self.parse_memo = (
+            parse_memo if parse_memo is not None else ParseMemo(self.metrics)
+        )
 
     def run_session(
         self,

@@ -58,7 +58,7 @@ from repro.tls.codec import (
     version_name,
 )
 from repro.x509.model import Certificate
-from repro.x509.parse import X509Error, parse_certificate
+from repro.x509.parse import ParseMemo, X509Error, parse_certificate
 from repro.x509.store import RootStore
 from repro.x509.verify import ChainDefect, collect_chain_defects
 
@@ -84,6 +84,9 @@ class TlsProxyEngine(Interceptor):
     origin-facing connections from; ``upstream_trust`` is the proxy's
     own root store, used to judge whether the *origin's* certificate is
     genuine (the §5.2 forged-certificate experiments hinge on this).
+
+    ``parse_memo`` shares parsed upstream certificates across the
+    engines of one run; without it every upstream chain is parsed.
     """
 
     def __init__(
@@ -98,6 +101,7 @@ class TlsProxyEngine(Interceptor):
         revoked_serials: frozenset[int] = frozenset(),
         registry: MetricsRegistry | None = None,
         events: HandshakeEventLog | None = None,
+        parse_memo: ParseMemo | None = None,
     ) -> None:
         self.profile = profile
         self.forger = forger
@@ -111,6 +115,7 @@ class TlsProxyEngine(Interceptor):
         # The revocation data visible to this proxy (a CRL snapshot);
         # consulted only when the profile ``checks_revocation``.
         self.revoked_serials = revoked_serials
+        self.parse_memo = parse_memo
         self._rng = rng or random.Random(0xBEEF)
         # Per-hostname verdicts reused when the profile caches
         # validation instead of re-checking every connection.
@@ -312,6 +317,13 @@ class TlsProxyEngine(Interceptor):
                 profile.own_extension_types, server_name
             ),
         )
+
+    def _parse(self, der: bytes) -> Certificate:
+        if self.parse_memo is None:
+            return parse_certificate(der)
+        # A miss still parses through this module's binding, so traced
+        # runs keep attributing the parse to the engine.
+        return self.parse_memo.parse(der, parse_certificate)
 
     @staticmethod
     def _hash_deprecated(leaf: Certificate) -> bool:
@@ -539,7 +551,7 @@ class _MitmConnection(Protocol):
                     der_chain = CertificateMessage.from_body(message.body).der_chain
             if der_chain is None:
                 return None
-            parsed = tuple(parse_certificate(der) for der in der_chain)
+            parsed = tuple(engine._parse(der) for der in der_chain)
             return UpstreamObservation(
                 chain=parsed,
                 raw=der_chain,

@@ -69,6 +69,7 @@ from repro.study.webpki import WebPki, build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer
 from repro.util import stable_hash
+from repro.x509.parse import ParseMemo
 
 # Per-study completion constants (§4.1/§4.2 totals; see data.sites).
 _STUDY1_CLIENT_RUN = 0.65
@@ -177,6 +178,10 @@ class StudyRunner:
             seed=config.seed, vault=config.vault, registry=self.obs
         )
         self.forger = SubstituteCertForger(self.keystore, seed=config.seed)
+        # One memo for every certificate parse of a wire run: the vantage
+        # probe, the clients' probes and the engines' upstream legs all
+        # see the same few dozen chains.
+        self.parse_memo = ParseMemo(self.obs)
         self.sites = (
             site_data.study1_probe_sites()
             if config.study == 1
@@ -340,6 +345,7 @@ class StudyRunner:
                 report_retry_limit=plan.retries,
                 session_deadline_ticks=plan.deadline,
                 fault_plan=plan,
+                parse_memo=self.parse_memo,
             )
             if plan.has_wire_faults():
                 # One shared on-path hop: every client's route to the
@@ -352,7 +358,7 @@ class StudyRunner:
             if plan.has_server_faults():
                 server.fault_hook = server_fault_hook(plan, self.obs)
         else:
-            tool = MeasurementTool(registry=self.obs)
+            tool = MeasurementTool(registry=self.obs, parse_memo=self.parse_memo)
         client_hosts: dict[tuple[str, int], object] = {}
 
         n_sessions = self.total_sessions()
@@ -491,7 +497,9 @@ class StudyRunner:
                 host.listen(843, policy.factory)
         # Authoritative leaves, captured from a clean vantage point.
         vantage = network.add_host("vantage.measurement.example")
-        probe = ProbeClient(vantage, registry=self.obs)
+        probe = ProbeClient(
+            vantage, registry=self.obs, parse_memo=self.parse_memo
+        )
         for site in self.sites:
             sample = probe.probe(site.hostname, 443)
             if not sample.ok:
@@ -520,6 +528,7 @@ class StudyRunner:
                     stable_hash(self.config.seed, "engine", profile.country, profile.client_index)
                 ),
                 registry=self.obs,
+                parse_memo=self.parse_memo,
             )
             host.add_interceptor(engine)
         cache[key] = host

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import threading
 
 
 def stable_hash(*parts: object, bits: int = 64) -> int:
@@ -30,6 +31,10 @@ class BoundedMemo:
     def __init__(self, name: str, limit: int, registry) -> None:
         self.limit = limit
         self._entries: dict = {}
+        # Misses run under the lock: racing threads compute a key once
+        # and never evict the same oldest key twice.  A hit is one dict
+        # lookup and takes no lock.
+        self._lock = threading.Lock()
         self._hits = registry.process_counter("cache.hits", cache=name)
         self._misses = registry.process_counter("cache.misses", cache=name)
 
@@ -38,17 +43,24 @@ class BoundedMemo:
 
     def recall(self, key, compute):
         """The stored value for ``key``, else ``compute()`` stored under it."""
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self._misses.inc()
-            value = compute()
-            if len(self._entries) >= self.limit:
-                del self._entries[next(iter(self._entries))]
-            self._entries[key] = value
-            return value
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            with self._lock:
+                # Another thread may have stored it while this one waited.
+                value = self._entries.get(key, _MISSING)
+                if value is _MISSING:
+                    self._misses.inc()
+                    value = compute()
+                    if len(self._entries) >= self.limit:
+                        del self._entries[next(iter(self._entries))]
+                    self._entries[key] = value
+                    return value
         self._hits.inc()
         return value
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
+
+
+_MISSING = object()

@@ -73,6 +73,29 @@ class TestCodec:
         with pytest.raises(HttpError):
             HttpResponse.try_decode(b"HTTP/1.1 abc Bad\r\n\r\n")
 
+    # Non-numeric, signed, split, empty and non-ASCII digit (latin-1
+    # superscript two: ``str.isdigit`` accepts it, ``int`` does not).
+    BAD_LENGTHS = ["abc", "-5", "+5", "5 5", "0x10", "", "\u00b2"]
+
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    def test_request_content_length_must_be_ascii_digits(self, value):
+        head = f"POST /report HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+        with pytest.raises(HttpError, match="Content-Length"):
+            HttpRequest.try_decode(head.encode("latin-1") + b"GET / HTTP/1.1\r\n\r\n")
+
+    @pytest.mark.parametrize("value", BAD_LENGTHS)
+    def test_response_content_length_must_be_ascii_digits(self, value):
+        head = f"HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\n"
+        with pytest.raises(HttpError, match="Content-Length"):
+            HttpResponse.try_decode(head.encode("latin-1") + b"body")
+
+    def test_padded_digits_are_a_length(self):
+        decoded, rest = HttpRequest.try_decode(
+            b"POST / HTTP/1.1\r\nContent-Length:  007 \r\n\r\n1234567tail"
+        )
+        assert decoded.body == b"1234567"
+        assert rest == b"tail"
+
 
 class TestClientServer:
     def test_get(self, web):
@@ -109,6 +132,22 @@ class TestClientServer:
         response, _ = HttpResponse.try_decode(sock.recv())
         assert response.status == 400
         assert server.parse_errors == 1
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5"])
+    def test_bad_content_length_gets_400_and_a_parse_error(self, web, value):
+        """``-5`` used to truncate the body and frame its tail as the
+        next request; ``abc`` escaped as a bare ValueError."""
+        net, client, server = web
+        sock = client.host.connect("www.example", 80)
+        sock.send(
+            b"POST /report HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+            + b"GET / HTTP/1.1\r\n\r\n"
+        )
+        response, rest = HttpResponse.try_decode(sock.recv())
+        assert response.status == 400
+        assert rest == b""
+        assert server.parse_errors == 1
+        assert server.requests_handled == 0
 
     def test_keep_alive_multiple_requests(self, web):
         net, client, server = web

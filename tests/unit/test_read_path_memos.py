@@ -6,6 +6,10 @@ tests replay the same traffic with and without the memos and demand
 identical databases, ledgers, metrics and probe results.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.geoip.database import GeoIpDatabase
@@ -380,3 +384,58 @@ class TestBoundedMemo:
         # Oldest first: 4 evicted 1, then the second 1 evicted 2.
         assert computed == [1, 2, 3, 4, 1, 2, 5]
         assert registry.deterministic_snapshot()["counters"] == {}
+
+    def test_concurrent_misses_keep_the_bound_and_the_counts(self):
+        """Pool threads share one harness memo: racing misses must not
+        evict the same oldest key twice or insert mid-eviction."""
+        registry = MetricsRegistry()
+        memo = BoundedMemo("threaded", 2, registry)
+        memo._entries = _YieldingDict()
+        threads, lookups = 8, 200
+        errors: list[BaseException] = []
+        sizes: list[int] = []
+        computed: list[int] = []
+        start = threading.Barrier(threads)
+
+        def compute(key):
+            computed.append(key)
+            return ("value", key)
+
+        def worker(offset):
+            try:
+                start.wait(timeout=30)
+                for index in range(lookups):
+                    key = (index * 7 + offset) % 23
+                    assert memo.recall(key, lambda: compute(key)) == ("value", key)
+                    sizes.append(len(memo))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        pool = [threading.Thread(target=worker, args=(n,)) for n in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        assert max(sizes) <= 2
+        assert len(memo) <= 2
+        counters = registry.snapshot()["process"]["counters"]
+        hits = counters.get("cache.hits{cache=threaded}", 0)
+        misses = counters["cache.misses{cache=threaded}"]
+        assert hits + misses == threads * lookups
+        assert misses == len(computed)
+
+
+class _YieldingDict(dict):
+    """Gives up the GIL between choosing an eviction victim and deleting
+    it, so racing evictions interleave on every run, not by chance."""
+
+    def __delitem__(self, key):
+        time.sleep(0.0001)
+        super().__delitem__(key)
