@@ -65,7 +65,8 @@ class AuditPki:
             SelfSignedParams(
                 subject=Name.build(common_name="Audit Root CA", organization=trust_org),
                 key=keystore.key("audit:root", key_bits),
-            )
+            ),
+            signatures=keystore.signatures,
         )
         self.intermediate = self.root.issue_intermediate(
             Name.build(common_name="Audit Issuing CA", organization=trust_org),
@@ -77,7 +78,8 @@ class AuditPki:
                     common_name="Honest Achmed Root", organization="Adversary Labs"
                 ),
                 key=keystore.key("audit:attacker", key_bits),
-            )
+            ),
+            signatures=keystore.signatures,
         )
 
     def proxy_store(self) -> RootStore:
@@ -135,7 +137,8 @@ class AuditPki:
                 dns_names=(hostname,),
                 serial_number=stable_hash(self.seed, "audit-serial", "self-signed", bits=63)
                 | 1,
-            )
+            ),
+            signatures=self.keystore.signatures,
         )
         return authority.certificate
 

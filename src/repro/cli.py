@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     keys_sub = keys.add_subparsers(dest="keys_command", required=True)
     warm = keys_sub.add_parser(
         "warm",
-        help="pre-generate every study/audit RSA key into the vault so "
-        "later runs (and their worker processes) only ever load",
+        help="pre-generate every study/audit RSA key (and sign its CA "
+        "certificates) into the vault so later runs (and their worker "
+        "processes) only ever load",
     )
     warm.add_argument("--vault", metavar="DIR", required=True)
     warm.add_argument("--seed", type=int, default=42)
@@ -322,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm only the study keys, not the audit battery's",
     )
     stats = keys_sub.add_parser(
-        "stats", help="print vault entry counts and on-disk size per seed"
+        "stats",
+        help="print vault key and signature entry counts and on-disk size "
+        "per seed",
     )
     stats.add_argument("--vault", metavar="DIR", required=True)
     stats.add_argument(
@@ -764,18 +767,24 @@ def _run_keys(args) -> int:
         per_seed = vault.collect_stats(obs)
         total_entries = obs.gauge("vault.entries").value or 0
         total_bytes = obs.gauge("vault.bytes").value or 0
+        total_signatures = obs.gauge("vault.signatures").value or 0
+        signature_bytes = obs.gauge("vault.signature_bytes").value or 0
         print(
             f"vault {vault.path}: {total_entries} entries, "
-            f"{total_bytes / 1024:.1f} KiB on disk"
+            f"{total_bytes / 1024:.1f} KiB on disk; {total_signatures} "
+            f"signatures, {signature_bytes / 1024:.1f} KiB"
         )
         if per_seed:
             body = [
-                [str(seed), f"{entries:,}", f"{size / 1024:.1f}"]
-                for seed, (entries, size) in sorted(
+                [str(seed), f"{keys:,}", f"{key_bytes / 1024:.1f}",
+                 f"{sigs:,}", f"{sig_bytes / 1024:.1f}"]
+                for seed, (keys, key_bytes, sigs, sig_bytes) in sorted(
                     per_seed.items(), key=lambda item: str(item[0])
                 )
             ]
-            print(render_table(["Seed", "Entries", "KiB"], body))
+            print(render_table(
+                ["Seed", "Entries", "KiB", "Signatures", "Sig KiB"], body
+            ))
         if args.metrics_out:
             write_json(obs.snapshot(), args.metrics_out)
             print(f"vault metrics written to {args.metrics_out}")

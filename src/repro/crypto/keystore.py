@@ -13,7 +13,9 @@ A store can additionally be backed by a disk-persistent
 any generation, and freshly generated material is written back, so a
 warmed vault turns every later ``key()`` call — in this process, in a
 worker process, or in next week's run — into a microsecond JSON load
-instead of a Miller–Rabin search.
+instead of a Miller–Rabin search.  The same vault keeps the
+signatures those keys make (:class:`SignatureStore`), so a warm run
+verifies stored signatures instead of signing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import random
 import zlib
 
-from repro.crypto.rsa import RsaKeyPair, generate_rsa_key
+from repro.crypto.hashes import HashAlgorithm
+from repro.crypto.rsa import RsaKeyPair, generate_rsa_key, pkcs1_sign
 from repro.crypto.vault import KeyVault, open_vault
 from repro.obs.metrics import MetricsRegistry
 
@@ -53,10 +56,22 @@ class KeyStore:
         self._vault_hits = self.metrics.process_counter("keystore.vault_hits")
         self._vault_misses = self.metrics.process_counter("keystore.vault_misses")
         self._vault_stores = self.metrics.process_counter("keystore.vault_stores")
+        # Signatures persist in the same vault; without one, certificate
+        # issuance signs directly, exactly as it always has.
+        self.signatures: SignatureStore | None = (
+            None
+            if self._vault is None
+            else SignatureStore(self._vault, seed, self.metrics)
+        )
 
     @property
     def vault(self) -> KeyVault | None:
         return self._vault
+
+    @property
+    def signatures_computed(self) -> int:
+        """Signatures computed for lack of a usable vault entry."""
+        return 0 if self.signatures is None else self.signatures.computed
 
     @property
     def keys_generated(self) -> int:
@@ -102,6 +117,41 @@ class KeyStore:
         """Generate keys for many labels up front (useful before timing)."""
         for label in labels:
             self.key(label, bits)
+
+
+class SignatureStore:
+    """Certificate signatures kept in a :class:`KeyVault`.
+
+    :meth:`sign` is a drop-in for :func:`pkcs1_sign`: it returns the
+    vault's entry for the exact signing input when that entry verifies,
+    else signs and writes the entry.  A verified PKCS#1 v1.5 signature
+    is the only one the key can make for the message, so the store can
+    never change a byte of output — only whether it was computed.
+    Lookups count ``cache.hits``/``cache.misses`` (``cache=signature``)
+    in the registry's process section; every miss computes one
+    signature.
+    """
+
+    def __init__(self, vault: KeyVault, seed: int, registry) -> None:
+        self._vault = vault
+        self._seed = seed
+        self._hits = registry.process_counter("cache.hits", cache="signature")
+        self._misses = registry.process_counter("cache.misses", cache="signature")
+
+    @property
+    def computed(self) -> int:
+        return self._misses.value
+
+    def sign(self, key: RsaKeyPair, hash_alg: HashAlgorithm, data: bytes) -> bytes:
+        public = key.public
+        signature = self._vault.load_signature(self._seed, public, hash_alg, data)
+        if signature is not None:
+            self._hits.inc()
+            return signature
+        self._misses.inc()
+        signature = pkcs1_sign(key, hash_alg, data)
+        self._vault.store_signature(self._seed, public, hash_alg, data, signature)
+        return signature
 
 
 _SHARED: dict[int, KeyStore] = {}

@@ -9,6 +9,18 @@ class HttpError(ValueError):
     """Raised on malformed HTTP framing."""
 
 
+class HttpBodyTooLarge(HttpError):
+    """A request declared a body over the decoder's limit.
+
+    Raised as soon as the head is framed, before any of the body is
+    buffered; ``request`` carries the method, path and headers.
+    """
+
+    def __init__(self, request: "HttpRequest", length: int, limit: int) -> None:
+        super().__init__(f"body of {length} bytes exceeds the {limit}-byte limit")
+        self.request = request
+
+
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 
@@ -65,8 +77,13 @@ class HttpRequest:
         return head + self.body
 
     @classmethod
-    def try_decode(cls, data: bytes) -> tuple["HttpRequest | None", bytes]:
-        """Decode one request if complete; return (request|None, leftover)."""
+    def try_decode(
+        cls, data: bytes, max_body: int | None = None
+    ) -> tuple["HttpRequest | None", bytes]:
+        """Decode one request if complete; return (request|None, leftover).
+
+        A declared body over ``max_body`` raises :class:`HttpBodyTooLarge`.
+        """
         end = data.find(_HEADER_END)
         if end < 0:
             return None, data
@@ -77,6 +94,10 @@ class HttpRequest:
             raise HttpError(f"bad request line {lines[0]!r}")
         headers = _parse_headers(_CRLF.join(lines[1:]))
         length = _content_length(headers)
+        if max_body is not None and length > max_body:
+            raise HttpBodyTooLarge(
+                cls(method=parts[0], path=parts[1], headers=headers), length, max_body
+            )
         if len(rest) < length:
             return None, data
         return (
@@ -99,6 +120,7 @@ class HttpResponse:
         204: "No Content",
         400: "Bad Request",
         404: "Not Found",
+        413: "Payload Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         503: "Service Unavailable",

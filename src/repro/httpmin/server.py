@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.httpmin.codec import HttpError, HttpRequest, HttpResponse
+from repro.httpmin.codec import HttpBodyTooLarge, HttpError, HttpRequest, HttpResponse
 from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
 
@@ -21,29 +21,40 @@ class HttpServer(Protocol):
     not.  ``requests_handled``/``parse_errors`` are live views onto the
     registry's counters, so every connection's traffic aggregates on
     the template instance exactly as before.
+
+    With ``max_body`` set, a request declaring a longer body is
+    answered 413 and its connection closed as soon as its head is
+    framed, so the body is never buffered (``http.requests_too_large``
+    counts them, and ``on_too_large`` sees the head).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self, registry: MetricsRegistry | None = None, max_body: int | None = None
+    ) -> None:
         self._routes: dict[tuple[str, str], Handler] = {}
         self._buffer = b""
+        self.max_body = max_body
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._c_requests = self.metrics.counter("http.requests_handled")
         self._c_parse_errors = self.metrics.counter("http.parse_errors")
         self._c_unrouted = self.metrics.counter("http.unrouted")
         self._c_abandoned = self.metrics.counter("http.requests_abandoned")
         self._c_bytes_in = self.metrics.counter("http.bytes_in")
+        self._c_too_large = self.metrics.counter("http.requests_too_large")
         # Called with the undecodable tail when a connection closes
         # mid-request — the hook the reporting server uses to count a
         # report that died before it ever parsed.
         self.on_abandoned: Callable[[bytes], None] | None = None
+        self.on_too_large: Callable[[HttpRequest], None] | None = None
 
     def route(self, method: str, path: str, handler: Handler) -> None:
         self._routes[(method.upper(), path)] = handler
 
     def factory(self) -> "HttpServer":
-        connection = HttpServer(registry=self.metrics)
+        connection = HttpServer(registry=self.metrics, max_body=self.max_body)
         connection._routes = self._routes
         connection.on_abandoned = self.on_abandoned
+        connection.on_too_large = self.on_too_large
         return connection
 
     @property
@@ -65,7 +76,19 @@ class HttpServer(Protocol):
         self._buffer += data
         while True:
             try:
-                request, self._buffer = HttpRequest.try_decode(self._buffer)
+                request, self._buffer = HttpRequest.try_decode(
+                    self._buffer, self.max_body
+                )
+            except HttpBodyTooLarge as exc:
+                # The body would frame as the next request, so the
+                # connection cannot continue.
+                self._buffer = b""
+                self._c_too_large.inc()
+                if self.on_too_large is not None:
+                    self.on_too_large(exc.request)
+                sock.send(HttpResponse(413).encode())
+                sock.close()
+                return
             except HttpError:
                 self._buffer = b""
                 self._c_parse_errors.inc()

@@ -29,6 +29,9 @@ _TOOL_PAYLOAD = b"<html><body><!-- repro measurement tool (flash) --></body></ht
 
 # Distinct (probed host, report body) verdicts one server keeps.
 CHAIN_VERDICT_ENTRIES = 1024
+# Largest report body taken.  A real chain is a few kB; the cap also
+# bounds what the verdict memo keeps per entry.
+REPORT_BODY_LIMIT = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -99,13 +102,15 @@ class ReportingServer:
             "chain_verdict", CHAIN_VERDICT_ENTRIES, self.metrics
         )
         self._verdicts_judged_by = None
-        self.http = HttpServer(registry=self.metrics)
+        self.http = HttpServer(registry=self.metrics, max_body=REPORT_BODY_LIMIT)
         self.http.route("GET", "/ad", self._serve_tool)
         self.http.route("POST", "/report", self._ingest_report)
         # A report whose connection dies mid-parse never reaches the
         # handler; without this hook it would vanish from the failure
-        # accounting entirely.
+        # accounting entirely.  The same holds for one turned away
+        # over its size.
         self.http.on_abandoned = self._report_abandoned
+        self.http.on_too_large = self._report_too_large
 
     def expect(self, hostname: str, leaf_fingerprint: str, host_type: str) -> None:
         """Register the authoritative leaf for a probe target."""
@@ -139,6 +144,11 @@ class ReportingServer:
         if request_line.startswith(b"POST /report"):
             self._count_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="truncated")
+
+    def _report_too_large(self, request: HttpRequest) -> None:
+        if (request.method.upper(), request.path) == ("POST", "/report"):
+            self._count_failure("report_failed")
+            self.metrics.inc("reports.rejected", reason="too-large")
 
     def _ingest_report(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
         if self.fault_hook is not None:
@@ -217,18 +227,21 @@ class ReportingServer:
             return ChainRejection("pem", str(exc).encode())
         if not der_chain:
             return ChainRejection("empty", b"empty report")
+        # Extensions decode lazily, so a malformed subjectAltName or
+        # basicConstraints surfaces in validation or summarising, not
+        # in the parse: all three are the same rejection.
         try:
             chain = [parse_certificate(der) for der in der_chain]
+            chain_valid = roots is not None and bool(
+                validate_chain(chain, roots, hostname=hostname)
+            )
+            return ChainVerdict(
+                leaf=CertSummary.from_certificate(chain[0]),
+                chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
+                chain_valid=chain_valid,
+            )
         except X509Error as exc:
             return ChainRejection("x509", str(exc).encode())
-        chain_valid = roots is not None and bool(
-            validate_chain(chain, roots, hostname=hostname)
-        )
-        return ChainVerdict(
-            leaf=CertSummary.from_certificate(chain[0]),
-            chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
-            chain_valid=chain_valid,
-        )
 
 
 class CombinedPolicyHttpServer(Protocol):

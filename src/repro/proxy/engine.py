@@ -441,9 +441,7 @@ class _MitmConnection(Protocol):
 
         observation = self._fetch_upstream_chain(hello)
         if observation is None or not observation.chain:
-            engine._c_upstream_failures.inc()
-            engine.events.record(self._conn, "upstream-failure", target=target)
-            self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
+            self._upstream_failed(sock, target)
             return
         engine.events.record(
             self._conn,
@@ -464,7 +462,13 @@ class _MitmConnection(Protocol):
                 engine._c_validation_cache_hits.inc()
                 defects = cached
         if defects is None:
-            defects = engine.noticed_upstream_defects(observation, target)
+            try:
+                defects = engine.noticed_upstream_defects(observation, target)
+            except X509Error:
+                # A correctly signed chain whose extensions do not
+                # decode (they decode lazily, after the parse).
+                self._upstream_failed(sock, target)
+                return
             if profile.caches_validation:
                 engine._validation_cache[target] = defects
         if defects:
@@ -483,15 +487,26 @@ class _MitmConnection(Protocol):
                 return
             engine._c_masked.inc()  # MASK falls through to forge
 
-        forged = engine.forger.forge(
-            profile,
-            observation.leaf,
-            target,
-            site_ip=self._site_ip(),
-            client_bucket=engine.client_bucket,
-        )
+        try:
+            forged = engine.forger.forge(
+                profile,
+                observation.leaf,
+                target,
+                site_ip=self._site_ip(),
+                client_bucket=engine.client_bucket,
+            )
+        except X509Error:
+            # The forger copies the upstream leaf's names; a verdict
+            # reused from the cache never decoded them.
+            self._upstream_failed(sock, target)
+            return
         engine._c_intercepted.inc()
         self._serve_chain(sock, hello, [c.encode() for c in forged.chain])
+
+    def _upstream_failed(self, sock: StreamSocket, target: str) -> None:
+        self.engine._c_upstream_failures.inc()
+        self.engine.events.record(self._conn, "upstream-failure", target=target)
+        self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
 
     def _site_ip(self) -> str:
         host = self.network.host_or_none(self.hostname)

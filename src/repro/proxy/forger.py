@@ -63,7 +63,8 @@ class SubstituteCertForger:
         if ca is None:
             key = self._keystore.key(f"proxy-ca:{cache_key}", profile.ca_key_bits)
             ca = CertificateAuthority.self_signed(
-                SelfSignedParams(subject=issuer, key=key)
+                SelfSignedParams(subject=issuer, key=key),
+                signatures=self._keystore.signatures,
             )
             self._cas[cache_key] = ca
         return ca

@@ -204,6 +204,9 @@ class StudyRunner:
         # RSA generations observed inside worker processes (set by
         # sharded runs; None for inline execution).
         self._worker_keys_generated: int | None = None
+        self._worker_signatures_computed = 0
+        # Signatures already accounted for in a shard outcome.
+        self._signatures_reported = 0
         # Test hook: a seeded random.Random here shuffles the wire
         # scheduler's per-tick task order, which the interleaving
         # determinism property uses to prove results are
@@ -634,8 +637,12 @@ class StudyRunner:
         result.notes["fast_shards"] = len({shard.code for shard in subshards})
         result.notes["fast_subshards"] = len(subshards)
         result.notes["keys_generated"] = self.keystore.keys_generated
+        result.notes["signatures_computed"] = self.keystore.signatures_computed
         if self._worker_keys_generated is not None:
             result.notes["worker_keys_generated"] = self._worker_keys_generated
+            result.notes["worker_signatures_computed"] = (
+                self._worker_signatures_computed
+            )
 
     def _run_fast_sharded(self, subshards: list["SubShard"]) -> list["FastShardOutcome"]:
         """Drain the sub-shard queue over worker processes.
@@ -680,6 +687,9 @@ class StudyRunner:
             self.forger.certificates_forged += outcome.certificates_forged
             self.forger.cache_hits += outcome.cache_hits
         self._worker_keys_generated = sum(o.keys_generated for o in outcomes)
+        self._worker_signatures_computed = sum(
+            o.signatures_computed for o in outcomes
+        )
         return outcomes
 
     def _run_fast_shard(
@@ -730,8 +740,18 @@ class StudyRunner:
             certificates_forged=self.forger.certificates_forged - forged_before,
             cache_hits=self.forger.cache_hits - hits_before,
             keys_generated=self.keystore.keys_generated - keys_before,
+            signatures_computed=self._signatures_since_last_outcome(),
             metrics=obs.snapshot(),
         )
+
+    def _signatures_since_last_outcome(self) -> int:
+        """Signatures computed since this runner's previous shard
+        outcome — a worker's first outcome includes its set-up (the web
+        PKI it rebuilt), so the pool's sum covers all its signing."""
+        computed = self.keystore.signatures_computed
+        delta = computed - self._signatures_reported
+        self._signatures_reported = computed
+        return delta
 
     def _fast_proxied_sessions(
         self,
@@ -897,6 +917,7 @@ class FastShardOutcome:
     certificates_forged: int
     cache_hits: int
     keys_generated: int = 0
+    signatures_computed: int = 0
     # Shard registry snapshot (plain dicts: picklable across the pool).
     metrics: dict = field(default_factory=dict)
 

@@ -63,7 +63,8 @@ def build_web_pki(
     for key, org, cn in _ROOTS:
         ca_key = keystore.key(f"webpki:{key}", 1024)
         pki.roots[key] = CertificateAuthority.self_signed(
-            SelfSignedParams(subject=Name.build(common_name=cn, organization=org), key=ca_key)
+            SelfSignedParams(subject=Name.build(common_name=cn, organization=org), key=ca_key),
+            signatures=keystore.signatures,
         )
     for key, root_key, org, cn in _INTERMEDIATES:
         int_key = keystore.key(f"webpki:{key}", 1024)

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.hashes import HashAlgorithm, hash_by_name
+from repro.crypto.keystore import SignatureStore
 from repro.crypto.rsa import RsaKeyPair, pkcs1_sign
 from repro.x509.model import (
     Certificate,
@@ -60,7 +61,9 @@ class CertificateAuthority:
 
     ``issue`` signs end-entity or CA certificates; ``self_signed``
     bootstraps a root.  Serial numbers come from the authority's own
-    deterministic RNG stream.
+    deterministic RNG stream.  ``signatures`` (a key store's
+    :class:`SignatureStore`, or ``None``) serves signatures this key
+    already made; intermediates it issues inherit it.
     """
 
     def __init__(
@@ -68,17 +71,21 @@ class CertificateAuthority:
         certificate: Certificate,
         key: RsaKeyPair,
         serial_rng: random.Random | None = None,
+        signatures: SignatureStore | None = None,
     ) -> None:
         self.certificate = certificate
         self.key = key
         self._serial_rng = serial_rng or random.Random(key.n & 0xFFFFFFFF)
+        self._signatures = signatures
 
     @property
     def name(self) -> Name:
         return self.certificate.subject
 
     @classmethod
-    def self_signed(cls, params: SelfSignedParams) -> "CertificateAuthority":
+    def self_signed(
+        cls, params: SelfSignedParams, signatures: SignatureStore | None = None
+    ) -> "CertificateAuthority":
         """Create a root CA whose certificate signs itself."""
         serial = params.serial_number
         if serial is None:
@@ -96,8 +103,8 @@ class CertificateAuthority:
             public_key=SubjectPublicKeyInfo(params.key.n, params.key.e),
             extensions=tuple(extensions),
         )
-        certificate = _sign_tbs(tbs, params.key, hash_alg)
-        return cls(certificate, params.key)
+        certificate = _sign_tbs(tbs, params.key, hash_alg, signatures)
+        return cls(certificate, params.key, signatures=signatures)
 
     def issue(
         self,
@@ -137,7 +144,7 @@ class CertificateAuthority:
             public_key=public_key,
             extensions=tuple(extensions),
         )
-        return _sign_tbs(tbs, self.key, hash_alg)
+        return _sign_tbs(tbs, self.key, hash_alg, self._signatures)
 
     def issue_intermediate(
         self, subject: Name, key: RsaKeyPair, hash_name: str = "sha256"
@@ -149,14 +156,20 @@ class CertificateAuthority:
             hash_name=hash_name,
             is_ca=True,
         )
-        return CertificateAuthority(certificate, key)
+        return CertificateAuthority(certificate, key, signatures=self._signatures)
 
 
 def _sign_tbs(
-    tbs: TbsCertificate, key: RsaKeyPair, hash_alg: HashAlgorithm
+    tbs: TbsCertificate,
+    key: RsaKeyPair,
+    hash_alg: HashAlgorithm,
+    signatures: SignatureStore | None = None,
 ) -> Certificate:
     tbs_der = tbs.encode()
-    signature = pkcs1_sign(key, hash_alg, tbs_der)
+    if signatures is None:
+        signature = pkcs1_sign(key, hash_alg, tbs_der)
+    else:
+        signature = signatures.sign(key, hash_alg, tbs_der)
     # Frame the signed bytes so .raw is always populated for issued
     # certs too, without encoding the TBS again.
     return Certificate(
